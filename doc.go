@@ -162,7 +162,10 @@
 //     aggregation rule for (n_e, f_e) — the GAR's breakdown point tracks
 //     the live population instead of a stale initial cohort. A boundary
 //     that would leave fewer than MinWorkers live members aborts the run
-//     rather than silently training on a sliver. Every epoch keeps an
+//     rather than silently training on a sliver. The run starts once
+//     MaxWorkers have joined, or once MinWorkers have and a short settle
+//     window passes without another join, so a cohort that dials together
+//     starts together. Every epoch keeps an
 //     exact ledger (EpochStat): Accepted_e + Missed_e = n_e × rounds_e,
 //     per epoch and summed over the run (Result.Cluster.Epochs).
 //
@@ -368,6 +371,20 @@
 // Both paths share the same Server and RunWorker code; framing and
 // per-round processing reuse caller-owned buffers, so the steady-state
 // round loop allocates no gradient-sized memory on either transport.
+//
+// The server has one round loop, the epoched one of the membership axis
+// below. A Spec without Membership runs it on a view that never changes:
+// exactly GAR.N workers, one epoch starting at the first round, the
+// declared rule and the staleness quorum. Collect, zero-padding, late
+// credit, the Accepted+Missed ledger, cancellation and the final snapshot
+// flush therefore have one implementation for both kinds of run.
+// Admission follows the peer's opening frame, not the server's mode:
+//
+//   - hello: accepted by every server, never answered with a welcome, and
+//     refused while the id already has a live connection;
+//   - join: accepted only by a membership server, answered with a welcome
+//     at admission, and allowed to replace the id's previous connection
+//     (newest wins), because only membership workers redial.
 //
 // # Fleet service
 //

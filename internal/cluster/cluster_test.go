@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"dpbyz/internal/data"
 	"dpbyz/internal/dp"
 	"dpbyz/internal/gar"
+	"dpbyz/internal/metrics"
 	"dpbyz/internal/model"
 	"dpbyz/internal/vecmath"
 )
@@ -485,5 +488,99 @@ func TestWrongDimensionGradientDiscarded(t *testing.T) {
 	}
 	if srvRes.MissedGradients != 3 {
 		t.Errorf("missed gradients = %d, want 3 (one per round)", srvRes.MissedGradients)
+	}
+}
+
+// TestServerFixedCohortAdmission pins who may enter a fixed-cohort run. Its
+// accept loop stays open for the whole run, so mid-run it must refuse a
+// hello that reuses a live worker's id (only a join may replace a
+// connection, and only membership workers redial) and any join frame at
+// all; both rogues see their connection closed. The cohort's books stay
+// exactly n × steps accepted.
+func TestServerFixedCohortAdmission(t *testing.T) {
+	const (
+		n     = 2
+		steps = 5
+	)
+	tr := NewChanTransport()
+	ds := testDataset(t)
+	m := testModel(t)
+
+	// probe dials a rogue that opens with one frame and reports how the
+	// server answered. The round loop is parked in the step hook meanwhile,
+	// so a rogue the server admitted would receive nothing and time out.
+	probe := func(open func(*conn) error) error {
+		raw, err := tr.Dial(context.Background(), "admission")
+		if err != nil {
+			return err
+		}
+		c := newConn(raw)
+		defer c.close()
+		if err := open(c); err != nil {
+			return err
+		}
+		msg, err := c.receive(time.Now().Add(5 * time.Second))
+		switch {
+		case err == nil:
+			return fmt.Errorf("server answered with message type %d", msg.kind)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return errors.New("server kept the connection open")
+		}
+		return nil
+	}
+	deadline := func() time.Time { return time.Now().Add(time.Second) }
+	rogues := []struct {
+		name string
+		open func(*conn) error
+	}{
+		{"hello reusing live id 0", func(c *conn) error { return c.sendHello(Hello{WorkerID: 0}, deadline()) }},
+		{"join for id 1", func(c *conn) error { return c.sendJoin(Join{WorkerID: 1, LastRound: -1}, deadline()) }},
+	}
+	probeErrs := make([]error, len(rogues))
+	srvCfg := ServerConfig{
+		Addr:         "admission",
+		Transport:    tr,
+		GAR:          mustGAR(t, "average", n, 0),
+		Dim:          m.Dim(),
+		Steps:        steps,
+		LearningRate: 1,
+		RoundTimeout: 5 * time.Second,
+		StepHook: func(rec metrics.StepRecord, _ []float64) error {
+			if rec.Step == 1 {
+				for i, r := range rogues {
+					probeErrs[i] = probe(r.open)
+				}
+			}
+			return nil
+		},
+	}
+	workers := make([]WorkerConfig, n)
+	for i := range workers {
+		workers[i] = WorkerConfig{
+			Transport: tr, WorkerID: i, Model: m, Train: ds, BatchSize: 10, Seed: uint64(i + 1),
+		}
+	}
+	srvRes, workerRes, workerErrs := launch(t, srvCfg, workers)
+	for i, r := range rogues {
+		if probeErrs[i] != nil {
+			t.Errorf("%s: %v", r.name, probeErrs[i])
+		}
+	}
+	for i, err := range workerErrs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if srvRes.AcceptedGradients != n*steps || srvRes.MissedGradients != 0 {
+		t.Errorf("accepted %d missed %d, want exactly %d and 0",
+			srvRes.AcceptedGradients, srvRes.MissedGradients, n*steps)
+	}
+	if srvRes.Epochs != nil {
+		t.Errorf("fixed cohort reported epoch books %+v", srvRes.Epochs)
+	}
+	for i, wr := range workerRes {
+		if wr == nil || wr.Rounds != steps {
+			t.Errorf("worker %d result %+v, want %d rounds", i, wr, steps)
+		}
 	}
 }

@@ -1,28 +1,25 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dpbyz/internal/gar"
 	"dpbyz/internal/membership"
-	"dpbyz/internal/metrics"
-	"dpbyz/internal/vecmath"
 )
 
-// MembershipConfig switches the server into epoched-membership mode: the
-// worker set is no longer fixed at NewServer but re-derived at epoch
-// boundaries from live connections (see internal/membership). Workers may
-// join mid-run (admitted at the next boundary), crash or fall silent
-// (evicted at the boundary), and rejoin with a fast-forward welcome.
+// MembershipConfig sets the epoched worker set the server's round loop
+// runs on: the set is re-derived at epoch boundaries from live connections
+// (see internal/membership). Workers may join mid-run (admitted at the
+// next boundary), crash or fall silent (evicted at the boundary), and
+// rejoin with a fast-forward welcome. A server configured without one runs
+// the same loop on fixedCohort's single-epoch view.
 type MembershipConfig struct {
-	// MinWorkers is the population floor: the run starts once this many
-	// workers have joined and aborts if a boundary would leave fewer.
+	// MinWorkers is the population floor: the run starts once MaxWorkers
+	// have joined, or once this many have and gatherSettle passes without
+	// another join; it aborts if a boundary would leave fewer.
 	MinWorkers int
 	// MaxWorkers caps the population and the worker-id range [0, MaxWorkers).
 	MaxWorkers int
@@ -35,7 +32,7 @@ type MembershipConfig struct {
 	EvictAfter int
 	// Stragglers is the per-epoch bounded-staleness budget: each epoch's
 	// commit quorum is n_e − f_e − Stragglers (0 = fully synchronous).
-	// Pair with ServerConfig.LateCredit exactly as in fixed mode.
+	// Pair with ServerConfig.LateCredit exactly as with a fixed Quorum.
 	Stragglers int
 	// NewGAR materializes the epoch's aggregation rule for a live view of
 	// n workers with f Byzantine — the per-epoch re-materialization that
@@ -67,43 +64,114 @@ func (mc *MembershipConfig) trackerConfig() membership.Config {
 	}
 }
 
-// memberRegistry connects the accept loop, the reader goroutines and the
-// round loop: it owns the id → current-connection map and feeds handshake
-// and disconnect events into the membership tracker in arrival order.
+// fixedCohort is the membership view of a server configured with a fixed
+// GAR: exactly GAR.N() workers, one epoch whose only boundary is the start
+// step (EpochRounds = Steps divides no later step), the configured rule as
+// that epoch's GAR, and Quorum as the straggler budget — with FRatio 0 the
+// view's quorum n − 0 − (n − Quorum) is Quorum itself. Eviction never
+// fires because it only happens at a boundary.
+func fixedCohort(cfg *ServerConfig) *MembershipConfig {
+	g, n := cfg.GAR, cfg.GAR.N()
+	mc := &MembershipConfig{
+		MinWorkers:  n,
+		MaxWorkers:  n,
+		EpochRounds: cfg.Steps,
+		NewGAR:      func(int, int) (gar.GAR, error) { return g, nil },
+	}
+	if cfg.Quorum > 0 && cfg.Quorum < n {
+		mc.Stragglers = n - cfg.Quorum
+	}
+	return mc
+}
+
+// errShort reports a boundary attempted before the population reached the
+// gather floor.
+var errShort = errors.New("cluster: population below the gather floor")
+
+// memberRegistry connects the accept loop, the per-connection serve
+// goroutines and the round loop: it owns the id → current-connection map,
+// feeds handshake and disconnect events into the membership tracker in
+// arrival order, and carries the inbox and discard counter.
 type memberRegistry struct {
 	mu      sync.Mutex
 	tracker *membership.Tracker
 	cur     map[int]*workerConn
+	// conns holds every connection with a serve goroutine, handshaking or
+	// registered, so shutdown can abort them all.
+	conns map[*conn]struct{}
+	// closed refuses new connections once shutdown has begun, so every
+	// wg.Add happens before shutdown's wg.Wait.
+	closed bool
 	// notify wakes the gather phase when the population changes.
 	notify chan struct{}
+
+	inbox chan submission
+	// done unblocks serve goroutines stuck on a full inbox during shutdown.
+	done      chan struct{}
+	wg        sync.WaitGroup
+	discarded atomic.Int64
 }
 
-func newMemberRegistry(tr *membership.Tracker) *memberRegistry {
+func newMemberRegistry(tr *membership.Tracker, inboxDepth int) *memberRegistry {
 	return &memberRegistry{
 		tracker: tr,
 		cur:     make(map[int]*workerConn),
+		conns:   make(map[*conn]struct{}),
 		notify:  make(chan struct{}, 1),
+		inbox:   make(chan submission, inboxDepth),
+		done:    make(chan struct{}),
 	}
 }
 
-// offer registers a handshaken connection for id. A redial replaces the
-// previous connection (newest wins — the common cause is the worker's own
-// reconnect after a broken link; the stale conn is aborted). The returned
-// workerConn is nil when the tracker rejects the handshake.
-func (r *memberRegistry) offer(id int, c *conn, dim int) (*workerConn, error) {
+// enter tracks a freshly accepted connection and counts its serve
+// goroutine in wg; it refuses the connection once shutdown has begun.
+func (r *memberRegistry) enter(c *conn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return false
+	}
+	r.conns[c] = struct{}{}
+	r.wg.Add(1)
+	return true
+}
+
+// leave ends c's serve goroutine: it reports the disconnect of w (nil
+// when the handshake failed) and closes the conn.
+func (r *memberRegistry) leave(c *conn, w *workerConn) {
+	r.mu.Lock()
+	delete(r.conns, c)
+	r.mu.Unlock()
+	if w != nil {
+		r.disconnect(w)
+	}
+	_ = c.close()
+	r.wg.Done()
+}
+
+// offer registers a handshaken connection for id. A join replaces a previous connection (newest wins — the common
+// cause is the worker's own reconnect after a broken link; the stale conn
+// is aborted). A hello never displaces a live connection: only membership
+// workers redial, so a second hello for a connected id is an impostor or
+// a misconfigured duplicate.
+func (r *memberRegistry) offer(id int, joined bool, c *conn, dim int) (*workerConn, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.cur[id]
+	if !joined && old != nil && !old.gone {
+		return nil, fmt.Errorf("cluster: hello for worker %d, which is already connected", id)
+	}
 	if err := r.tracker.Handshake(id); err != nil {
 		return nil, err
 	}
-	if old := r.cur[id]; old != nil {
+	if old != nil {
 		_ = old.c.abort()
 	}
 	free := make(chan []float64, submissionDepth)
 	for i := 0; i < submissionDepth; i++ {
 		free <- make([]float64, dim)
 	}
-	w := &workerConn{id: id, c: c, free: free}
+	w := &workerConn{id: id, c: c, free: free, joined: joined}
 	r.cur[id] = w
 	select {
 	case r.notify <- struct{}{}:
@@ -112,14 +180,28 @@ func (r *memberRegistry) offer(id int, c *conn, dim int) (*workerConn, error) {
 	return w, nil
 }
 
-// disconnect reports a reader exit. Only the current connection demotes
+// disconnect reports a lost connection. Only the current connection demotes
 // the member — a replaced conn dying later must not disconnect its rejoin.
 func (r *memberRegistry) disconnect(w *workerConn) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cur[w.id] == w {
+		w.gone = true
 		r.tracker.Disconnect(w.id)
 	}
+}
+
+// advance closes the epoch (membership.Tracker.AdvanceEpoch) once at least
+// floor workers are live or pending, and fails with errShort otherwise.
+// It holds the registry lock, so no handshake or disconnect lands between
+// the population check and the view it derives.
+func (r *memberRegistry) advance(floor int) (membership.View, []int, []int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.tracker.Population() < floor {
+		return membership.View{}, nil, nil, errShort
+	}
+	return r.tracker.AdvanceEpoch()
 }
 
 // current returns id's live connection, or nil.
@@ -148,19 +230,6 @@ func (r *memberRegistry) evict(id int) {
 	}
 }
 
-// abortAll unblocks every reader during shutdown.
-func (r *memberRegistry) abortAll() {
-	r.mu.Lock()
-	conns := make([]*workerConn, 0, len(r.cur))
-	for _, w := range r.cur {
-		conns = append(conns, w)
-	}
-	r.mu.Unlock()
-	for _, w := range conns {
-		_ = w.c.abort()
-	}
-}
-
 // all snapshots the current connections (sorted iteration not needed: the
 // callers' sends are independent per conn).
 func (r *memberRegistry) all() []*workerConn {
@@ -173,384 +242,24 @@ func (r *memberRegistry) all() []*workerConn {
 	return conns
 }
 
-// runMembership is the epoched round loop: Run delegates here when
-// ServerConfig.Membership is set.
-//
-// The run is partitioned into EpochRounds-round epochs. At each boundary
-// the tracker advances the view — admitting joined workers (each gets a
-// welcome frame carrying the first round it will serve plus the current
-// params and velocity, so a rejoiner fast-forwards its deterministic
-// streams and resumes bit-identically with the cohort), evicting crashed
-// or silent ones — and the server re-materializes the GAR and commit
-// quorum for the new population. Within an epoch the view is frozen, so
-// every round's books have a well-defined n_e and the per-epoch ledger
-// Accepted_e + Missed_e == n_e × rounds_e stays exact.
-func (s *Server) runMembership(ctx context.Context) (*ServerResult, error) {
-	defer s.listener.Close()
-	mc := s.cfg.Membership
-	tracker, err := membership.NewTracker(mc.trackerConfig())
-	if err != nil {
-		return nil, err
-	}
-	reg := newMemberRegistry(tracker)
-
-	var discarded atomic.Int64
-	inbox := make(chan submission, 2*mc.MaxWorkers)
-	runDone := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// startReader fans one connection's gradient frames into the inbox,
-	// exactly like the fixed-mode readers; on exit it reports the
-	// disconnect and recycles the conn (readers own their conn's close).
-	startReader := func(w *workerConn) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				reg.disconnect(w)
-				_ = w.c.close()
-			}()
-			for {
-				m, err := w.c.receive(time.Time{})
-				if err != nil {
-					return
-				}
-				if m.kind != msgGradient {
-					s.logf("worker %d sent non-gradient message", w.id)
-					return
-				}
-				g := &m.gradient
-				if g.WorkerID != w.id || len(g.Grad) != s.cfg.Dim {
-					discarded.Add(1)
-					s.logf("discarding bad gradient from worker %d (claimed %d, dim %d)",
-						w.id, g.WorkerID, len(g.Grad))
-					continue
-				}
-				var buf []float64
-				select {
-				case buf = <-w.free:
-				default:
-					discarded.Add(1)
-					continue
-				}
-				copy(buf, g.Grad)
-				select {
-				case inbox <- submission{src: w, step: g.Step, grad: buf}:
-				case <-runDone:
-					return
-				}
-			}
-		}()
-	}
-
-	// The accept loop runs for the whole training run: joins are welcome
-	// at any time and admitted at the next boundary. A connection opens
-	// with either a join (membership handshake, carries the last consumed
-	// round) or a plain hello (treated as a fresh join, so fixed-mode
-	// workers interoperate).
-	go func() {
-		for {
-			raw, err := s.listener.Accept()
-			if err != nil {
-				return // listener closed: shutdown or ctx abort
-			}
-			c := newConnMax(raw, s.cfg.MaxFrameBytes)
-			m, err := c.receive(time.Now().Add(s.cfg.RoundTimeout))
-			if err != nil || (m.kind != msgJoin && m.kind != msgHello) {
-				s.logf("rejecting connection without join/hello: %v", err)
-				_ = c.close()
-				continue
-			}
-			id := m.hello.WorkerID
-			if m.kind == msgJoin {
-				id = m.join.WorkerID
-			}
-			w, err := reg.offer(id, c, s.cfg.Dim)
-			if err != nil {
-				s.logf("rejecting join from worker %d: %v", id, err)
-				_ = c.close()
-				continue
-			}
-			s.logf("worker %d handshaken", id)
-			startReader(w)
-		}
-	}()
-	// Closing the listener is the only way to unblock Accept.
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-runDone:
-		}
-		s.listener.Close()
-	}()
-
-	var shutdownOnce sync.Once
-	shutdown := func() {
-		shutdownOnce.Do(func() {
-			close(runDone)
-			s.listener.Close()
-			reg.abortAll()
-			wg.Wait()
-		})
-	}
-	defer shutdown()
-
-	// Gather phase: the run starts once MinWorkers have handshaken.
-	for tracker.Population() < mc.MinWorkers {
-		select {
-		case <-reg.notify:
-		case <-ctx.Done():
-			return nil, fmt.Errorf("cluster: gather: %w", ctx.Err())
-		}
-	}
-
-	w := make([]float64, s.cfg.Dim)
-	if s.cfg.InitParams != nil {
-		copy(w, s.cfg.InitParams)
-	}
-	velocity := make([]float64, s.cfg.Dim)
-	if s.cfg.InitVelocity != nil {
-		copy(velocity, s.cfg.InitVelocity)
-	}
-	history := &metrics.History{}
-	missed, accepted, credited := 0, 0, 0
-	var epochs []membership.EpochStat
-
-	// Per-epoch state, rebuilt at each boundary.
-	var (
-		view      membership.View
-		epochGAR  gar.GAR
-		members   []*workerConn // slot-indexed; nil for members whose conn died
-		slotOf    map[int]int
-		target    int
-		epochStat membership.EpochStat
-	)
-	closeEpoch := func() {
-		if epochStat.Rounds > 0 {
-			epochs = append(epochs, epochStat)
-		}
-	}
-	boundary := func(step int) error {
-		closeEpoch()
-		v, admitted, evicted, err := tracker.AdvanceEpoch()
-		if err != nil {
-			return fmt.Errorf("cluster: round %d boundary: %w", step, err)
-		}
-		for _, id := range evicted {
-			s.logf("epoch %d: evicting worker %d", v.Epoch, id)
-			reg.evict(id)
-		}
-		deadline := time.Now().Add(s.cfg.RoundTimeout)
-		for _, id := range admitted {
-			wk := reg.current(id)
-			if wk == nil {
-				continue // crashed between handshake and admission
-			}
-			welcome := Welcome{Round: step, Epoch: v.Epoch, Weights: w, Velocity: velocity}
-			if err := wk.c.sendWelcome(welcome, deadline); err != nil {
-				s.logf("welcome to worker %d: %v", id, err)
-				reg.disconnect(wk)
-			}
-		}
-		epochGAR, err = mc.NewGAR(v.N(), v.F)
-		if err != nil {
-			return fmt.Errorf("cluster: epoch %d GAR (n=%d f=%d): %w", v.Epoch, v.N(), v.F, err)
-		}
-		view = v
-		members = members[:0]
-		slotOf = make(map[int]int, v.N())
-		for i, id := range v.Members {
-			slotOf[id] = i
-			members = append(members, reg.current(id))
-		}
-		target = v.N()
-		if mc.Stragglers > 0 {
-			target = v.Quorum(mc.Stragglers)
-		}
-		epochStat = membership.EpochStat{Epoch: v.Epoch, N: v.N(), F: v.F, View: v.Members}
-		s.logf("epoch %d: n=%d f=%d quorum=%d members=%v", v.Epoch, v.N(), v.F, target, v.Members)
-		return nil
-	}
-
-	submissions := make([][]float64, 0, mc.MaxWorkers)
-	agg := make([]float64, s.cfg.Dim)
-	zeros := make([]float64, s.cfg.Dim)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-
-	finish := func(finalW []float64) {
-		deadline := time.Now().Add(s.cfg.RoundTimeout)
-		for _, wk := range reg.all() {
-			msg := Params{Step: s.cfg.Steps, Weights: finalW, Done: true}
-			if err := wk.c.sendParams(msg, deadline); err != nil {
-				s.logf("final broadcast to worker %d: %v", wk.id, err)
-			}
-		}
-	}
-	result := func() *ServerResult {
-		closeEpoch()
-		return &ServerResult{
-			Params:               w,
-			History:              history,
-			MissedGradients:      missed,
-			AcceptedGradients:    accepted,
-			DiscardedSubmissions: int(discarded.Load()),
-			CreditedGradients:    credited,
-			Epochs:               epochs,
-		}
-	}
-
-	for step := s.cfg.StartStep; step < s.cfg.Steps; step++ {
-		select {
-		case <-ctx.Done():
-			finish(w)
-			return nil, fmt.Errorf("cluster: round %d: %w", step, ctx.Err())
-		default:
-		}
-		if step == s.cfg.StartStep || step%mc.EpochRounds == 0 {
-			if err := boundary(step); err != nil {
-				finish(w)
-				return nil, err
-			}
-		}
-
-		deadline := time.Now().Add(s.cfg.RoundTimeout)
-		for i, wk := range members {
-			// Members whose conn died mid-epoch stay in the frozen view as
-			// mutes; refresh in case the worker rejoined mid-epoch (its
-			// rejoin is only admitted at the boundary, so no broadcast).
-			if wk == nil || !reg.isCurrent(wk) {
-				members[i] = nil
-				continue
-			}
-			msg := Params{Step: step, Weights: w}
-			if err := wk.c.sendParams(msg, deadline); err != nil {
-				s.logf("broadcast to worker %d: %v (treating as mute)", wk.id, err)
-			}
-		}
-
-		submissions = submissions[:view.N()]
-		for i := range submissions {
-			submissions[i] = nil
-		}
-		received := 0
-		timer.Reset(time.Until(deadline))
-	collect:
-		for received < target {
-			select {
-			case sub := <-inbox:
-				i, member := slotOf[sub.src.id]
-				switch {
-				case !member || !reg.isCurrent(sub.src):
-					// Not in this epoch's view (evicted, pending, or a
-					// stale conn the worker already replaced): discard.
-					discarded.Add(1)
-					sub.src.free <- sub.grad
-				case sub.step == step && submissions[i] == nil:
-					submissions[i] = sub.grad
-					received++
-				case s.cfg.LateCredit && sub.step == step-1 && submissions[i] == nil:
-					submissions[i] = sub.grad
-					received++
-					credited++
-				default:
-					discarded.Add(1)
-					s.logf("discarding stale/duplicate gradient (worker %d, step %d)", sub.src.id, sub.step)
-					sub.src.free <- sub.grad
-				}
-			case <-timer.C:
-				break collect
-			case <-ctx.Done():
-				timer.Stop()
-				for i := range submissions {
-					if submissions[i] != nil {
-						returnSubmission(members[i], submissions[i])
-						submissions[i] = nil
-					}
-				}
-				finish(w)
-				return nil, fmt.Errorf("cluster: round %d: %w", step, ctx.Err())
-			}
-		}
-		timer.Stop()
-		accepted += received
-		epochStat.Accepted += received
-
-		for i, id := range view.Members {
-			if submissions[i] == nil {
-				submissions[i] = zeros
-				missed++
-				epochStat.Missed++
-				tracker.RecordMiss(id)
-			} else {
-				tracker.RecordAccept(id)
-			}
-		}
-
-		// Stateful kernels observe the round counter (see gar.RoundAware);
-		// the epoch boundary already re-materializes a fresh rule, so only
-		// intra-epoch jumps need the signal.
-		if ra, ok := epochGAR.(gar.RoundAware); ok {
-			ra.BeginRound(step)
-		}
-		if err := gar.AggregateInto(epochGAR, agg, submissions); err != nil {
-			finish(w)
-			return nil, fmt.Errorf("cluster: round %d aggregate: %w", step, err)
-		}
-		for i := range submissions {
-			if submissions[i] != nil && &submissions[i][0] != &zeros[0] {
-				returnSubmission(members[i], submissions[i])
-			}
-			submissions[i] = nil
-		}
-
-		for i := range velocity {
-			velocity[i] = s.cfg.Momentum*velocity[i] + agg[i]
-			w[i] -= s.cfg.LearningRate * velocity[i]
-		}
-		if !vecmath.AllFinite(w) {
-			finish(w)
-			return nil, fmt.Errorf("cluster: parameters diverged at round %d", step)
-		}
-		epochStat.Rounds++
-		rec := metrics.StepRecord{
-			Step:     step,
-			Loss:     vecmath.Norm(agg),
-			Accuracy: math.NaN(),
-			VNRatio:  math.NaN(),
-		}
-		history.Append(rec)
-		if s.cfg.StepHook != nil {
-			if err := s.cfg.StepHook(rec, w); err != nil {
-				finish(w)
-				return nil, fmt.Errorf("cluster: round %d hook: %w", step, err)
-			}
-		}
-		if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotFunc != nil &&
-			((step+1)%s.cfg.SnapshotEvery == 0 || step == s.cfg.Steps-1) {
-			if err := s.cfg.SnapshotFunc(step+1, w, velocity); err != nil {
-				finish(w)
-				return nil, fmt.Errorf("cluster: round %d snapshot: %w", step, err)
-			}
-		}
-	}
-
-	finish(w)
-	// Quiesce readers before reading the counters, as in fixed mode.
-	shutdown()
-	return result(), nil
-}
-
-// returnSubmission hands a borrowed gradient buffer back to its owner's
-// free list. The owner may be nil when the member's conn died mid-epoch
-// after submitting; the buffer is simply dropped then (churn is off the
-// steady state, so the allocation does not matter).
-func returnSubmission(w *workerConn, buf []float64) {
-	if w == nil {
+// shutdown refuses further connections, unblocks every serve goroutine
+// and waits for them and the accept loop. The caller closes the listener
+// first, or the accept loop never returns. Later calls return at once.
+func (r *memberRegistry) shutdown() {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
 		return
 	}
-	select {
-	case w.free <- buf:
-	default:
+	r.closed = true
+	conns := make([]*conn, 0, len(r.conns))
+	for c := range r.conns {
+		conns = append(conns, c)
 	}
+	r.mu.Unlock()
+	close(r.done)
+	for _, c := range conns {
+		_ = c.abort()
+	}
+	r.wg.Wait()
 }

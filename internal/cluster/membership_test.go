@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,6 +251,66 @@ func TestMembershipBasicRunBooks(t *testing.T) {
 	}
 }
 
+// TestMembershipHelloWorkersFullBooks runs plain hello workers against a
+// membership server. A hello peer never asked for a welcome and would
+// reject one as an unexpected message, so admission must not send it one;
+// with that, every worker serves every round and the books are full.
+func TestMembershipHelloWorkersFullBooks(t *testing.T) {
+	const (
+		n           = 3
+		steps       = 9
+		epochRounds = 3
+	)
+	tr := NewChanTransport()
+	ds := testDataset(t)
+	m := testModel(t)
+	srvCfg := ServerConfig{
+		Addr:         "hello-members",
+		Transport:    tr,
+		Membership:   testMembership(n, n, 0, epochRounds),
+		Dim:          m.Dim(),
+		Steps:        steps,
+		LearningRate: 2,
+		RoundTimeout: 5 * time.Second,
+	}
+	workers := make([]WorkerConfig, n)
+	for i := range workers {
+		workers[i] = WorkerConfig{
+			Transport: tr,
+			WorkerID:  i,
+			Model:     m,
+			Train:     ds,
+			BatchSize: 20,
+			ClipNorm:  0.01,
+			Seed:      uint64(i + 1),
+		}
+	}
+	srvRes, workerRes, workerErrs := launch(t, srvCfg, workers)
+	for i, err := range workerErrs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if got, want := srvRes.AcceptedGradients, n*steps; got != want || srvRes.MissedGradients != 0 {
+		t.Errorf("accepted %d missed %d, want %d and 0", got, srvRes.MissedGradients, want)
+	}
+	if err := membership.BalanceEpochs(srvRes.Epochs); err != nil {
+		t.Errorf("epoch books: %v", err)
+	}
+	if got, want := len(srvRes.Epochs), steps/epochRounds; got != want {
+		t.Errorf("epochs = %d, want %d", got, want)
+	}
+	for i, wr := range workerRes {
+		if wr == nil || wr.Rounds != steps {
+			t.Errorf("worker %d result %+v, want %d rounds", i, wr, steps)
+			continue
+		}
+		if !vecmath.ApproxEqual(wr.FinalParams, srvRes.Params, 0) {
+			t.Errorf("worker %d final params differ from server", i)
+		}
+	}
+}
+
 // TestMembershipLateJoin starts a two-worker run, then injects a third
 // worker mid-run: it must be admitted at an epoch boundary, fast-forward
 // its streams to the cohort's position, and the per-epoch books must keep
@@ -275,10 +336,12 @@ func TestMembershipLateJoin(t *testing.T) {
 		Membership: true,
 	}
 	var (
-		lateOnce sync.Once
-		lateWG   sync.WaitGroup
-		lateRes  *WorkerResult
-		lateErr  error
+		lateOnce       sync.Once
+		lateWG         sync.WaitGroup
+		lateRes        *WorkerResult
+		lateErr        error
+		handshakeOnce  sync.Once
+		lateHandshaken = make(chan struct{})
 	)
 	ctx, cancel := testContext(t)
 	defer cancel()
@@ -291,9 +354,17 @@ func TestMembershipLateJoin(t *testing.T) {
 		Steps:        steps,
 		LearningRate: 2,
 		RoundTimeout: 2 * time.Second,
+		Logf: func(format string, args ...any) {
+			if format == "worker %d handshaken" && args[0] == lateCfg.WorkerID {
+				handshakeOnce.Do(func() { close(lateHandshaken) })
+			}
+		},
 		StepHook: func(rec metrics.StepRecord, w []float64) error {
 			// Launch the late joiner once the first round has committed, so
-			// its admission necessarily happens at a later boundary.
+			// its admission necessarily happens at a later boundary, and hold
+			// the round loop until the server has its handshake, so that
+			// boundary comes before the run ends however the dial is
+			// scheduled.
 			lateOnce.Do(func() {
 				lateWG.Add(1)
 				go func() {
@@ -301,7 +372,12 @@ func TestMembershipLateJoin(t *testing.T) {
 					lateRes, lateErr = RunWorker(ctx, lateCfg)
 				}()
 			})
-			return nil
+			select {
+			case <-lateHandshaken:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		},
 	}
 	workers := make([]WorkerConfig, 2)
@@ -370,6 +446,9 @@ func TestMembershipCrashEvictionAndRestart(t *testing.T) {
 	defer cancel()
 
 	restartGate := make(chan struct{})
+	// Worker 2 handshakes once per life; the second closes restarted.
+	var handshakes2 atomic.Int64
+	restarted := make(chan struct{})
 	srvCfg := ServerConfig{
 		Addr:         "restart",
 		Transport:    tr,
@@ -378,11 +457,26 @@ func TestMembershipCrashEvictionAndRestart(t *testing.T) {
 		Steps:        steps,
 		LearningRate: 2,
 		RoundTimeout: 300 * time.Millisecond,
-		StepHook: func(rec metrics.StepRecord, w []float64) error {
-			if rec.Step == 8 {
-				close(restartGate)
+		Logf: func(format string, args ...any) {
+			if format == "worker %d handshaken" && args[0] == 2 && handshakes2.Add(1) == 2 {
+				close(restarted)
 			}
-			return nil
+		},
+		StepHook: func(rec metrics.StepRecord, w []float64) error {
+			if rec.Step != 8 {
+				return nil
+			}
+			// Rounds without a missing member take microseconds: hold the
+			// round loop until the restarted process has handshaken, so it
+			// is admitted at a boundary before the run ends however its
+			// dial is scheduled.
+			close(restartGate)
+			select {
+			case <-restarted:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		},
 	}
 	srv, err := NewServer(srvCfg)

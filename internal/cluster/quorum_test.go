@@ -34,76 +34,88 @@ func helloOnly(t *testing.T, tr Transport, addr string, id int) *conn {
 // on the trajectory: no history record, no hook call, no snapshot OF THE
 // CANCELLED ROUND. The graceful-shutdown contract does flush exactly one
 // final snapshot of the completed prefix — here zero committed rounds — so
-// resumable progress survives an interrupt.
+// resumable progress survives an interrupt. Fixed-cohort and membership
+// servers share the round loop, so both must honour the contract.
 func TestServerCancelMidCollectCommitsNothing(t *testing.T) {
 	const n = 2
-	tr := NewChanTransport()
-	var hookCalls, snapCalls, lastSnapStep atomic.Int64
-	srv, err := NewServer(ServerConfig{
-		Addr:         "cancel-collect",
-		Transport:    tr,
-		GAR:          mustGAR(t, "average", n, 0),
-		Dim:          5,
-		Steps:        3,
-		LearningRate: 1,
-		// Far beyond the test's lifetime: the collect phase can only end via
-		// the cancellation under test, never the timer.
-		RoundTimeout: time.Hour,
-		StepHook: func(metrics.StepRecord, []float64) error {
-			hookCalls.Add(1)
-			return nil
-		},
-		SnapshotEvery: 1,
-		SnapshotFunc: func(step int, _, _ []float64) error {
-			snapCalls.Add(1)
-			lastSnapStep.Store(int64(step))
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		cohort func(*ServerConfig)
+	}{
+		{"fixed", func(c *ServerConfig) { c.GAR = mustGAR(t, "average", n, 0) }},
+		{"membership", func(c *ServerConfig) { c.Membership = testMembership(n, n, 0, 3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewChanTransport()
+			var hookCalls, snapCalls, lastSnapStep atomic.Int64
+			cfg := ServerConfig{
+				Addr:         "cancel-collect",
+				Transport:    tr,
+				Dim:          5,
+				Steps:        3,
+				LearningRate: 1,
+				// Far beyond the test's lifetime: the collect phase can only end via
+				// the cancellation under test, never the timer.
+				RoundTimeout: time.Hour,
+				StepHook: func(metrics.StepRecord, []float64) error {
+					hookCalls.Add(1)
+					return nil
+				},
+				SnapshotEvery: 1,
+				SnapshotFunc: func(step int, _, _ []float64) error {
+					snapCalls.Add(1)
+					lastSnapStep.Store(int64(step))
+					return nil
+				},
+			}
+			tc.cohort(&cfg)
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, runErr := srv.Run(ctx)
-		errCh <- runErr
-	}()
+			ctx, cancel := context.WithCancel(context.Background())
+			errCh := make(chan error, 1)
+			go func() {
+				_, runErr := srv.Run(ctx)
+				errCh <- runErr
+			}()
 
-	// Two registered-but-mute workers: the server broadcasts round 0 and then
-	// blocks in collect with zero submissions.
-	conns := make([]*conn, n)
-	for i := 0; i < n; i++ {
-		conns[i] = helloOnly(t, tr, "cancel-collect", i)
-	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.close()
-		}
-	}()
+			// Two registered-but-mute workers: the server broadcasts round 0 and then
+			// blocks in collect with zero submissions.
+			conns := make([]*conn, n)
+			for i := 0; i < n; i++ {
+				conns[i] = helloOnly(t, tr, "cancel-collect", i)
+			}
+			defer func() {
+				for _, c := range conns {
+					_ = c.close()
+				}
+			}()
 
-	time.Sleep(300 * time.Millisecond) // server is now mid-collect of round 0
-	cancel()
+			time.Sleep(300 * time.Millisecond) // server is now mid-collect of round 0
+			cancel()
 
-	select {
-	case runErr := <-errCh:
-		if !errors.Is(runErr, context.Canceled) {
-			t.Errorf("error = %v, want context.Canceled", runErr)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not return after cancellation mid-collect")
-	}
-	if got := hookCalls.Load(); got != 0 {
-		t.Errorf("cancelled round invoked the step hook %d times (round committed)", got)
-	}
-	// The cancelled round itself is never snapshotted; the shutdown flushes
-	// exactly one snapshot of the completed prefix, which is empty here.
-	if got := snapCalls.Load(); got != 1 {
-		t.Errorf("cancellation flushed %d snapshots, want exactly 1 (the completed prefix)", got)
-	}
-	if got := lastSnapStep.Load(); got != 0 {
-		t.Errorf("final snapshot claims %d completed rounds, want 0 (round 0 was cancelled mid-collect)", got)
+			select {
+			case runErr := <-errCh:
+				if !errors.Is(runErr, context.Canceled) {
+					t.Errorf("error = %v, want context.Canceled", runErr)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("server did not return after cancellation mid-collect")
+			}
+			if got := hookCalls.Load(); got != 0 {
+				t.Errorf("cancelled round invoked the step hook %d times (round committed)", got)
+			}
+			// The cancelled round itself is never snapshotted; the shutdown flushes
+			// exactly one snapshot of the completed prefix, which is empty here.
+			if got := snapCalls.Load(); got != 1 {
+				t.Errorf("cancellation flushed %d snapshots, want exactly 1 (the completed prefix)", got)
+			}
+			if got := lastSnapStep.Load(); got != 0 {
+				t.Errorf("final snapshot claims %d completed rounds, want 0 (round 0 was cancelled mid-collect)", got)
+			}
+		})
 	}
 }
 

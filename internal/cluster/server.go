@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dpbyz/internal/gar"
@@ -18,6 +16,13 @@ import (
 // DefaultRoundTimeout bounds how long the server waits for gradients each
 // round before substituting zero vectors for the missing workers.
 const DefaultRoundTimeout = 10 * time.Second
+
+// gatherSettle is how long a membership server whose population is between
+// MinWorkers and MaxWorkers waits for a further handshake before it starts
+// the run. Handshakes of a cohort that dials together land microseconds
+// apart; the window keeps the start from cutting such a cohort at the
+// floor.
+const gatherSettle = 100 * time.Millisecond
 
 // submissionDepth is how many gradient buffers the server pre-allocates
 // per worker connection. Depth 1 covers the lock-step pipeline of an
@@ -37,8 +42,8 @@ type ServerConfig struct {
 	// MaxFrameBytes caps the payload length a peer may declare (0 means
 	// DefaultMaxFrameBytes). It must fit a Dim-sized gradient frame.
 	MaxFrameBytes int
-	// GAR is the aggregation rule; its N() is the number of workers the
-	// server waits for before starting.
+	// GAR is the aggregation rule of a fixed cohort; its N() is the number
+	// of workers the server waits for before starting.
 	GAR gar.GAR
 	// Dim is the model dimension d.
 	Dim int
@@ -64,11 +69,12 @@ type ServerConfig struct {
 	// bounded-staleness (bound 1) crediting rule. Older frames and
 	// duplicates are discarded either way.
 	LateCredit bool
-	// Membership, when set, switches the server into epoched-membership
-	// mode (see MembershipConfig): the worker set is re-derived at epoch
-	// boundaries instead of fixed at NewServer, GAR is nil (the per-epoch
-	// factory replaces it) and Quorum is derived per epoch from the live
-	// view and the membership Stragglers budget.
+	// Membership, when set, lets the worker set change (see
+	// MembershipConfig): it is re-derived at epoch boundaries, GAR is nil
+	// (the per-epoch factory replaces it) and Quorum is derived per epoch
+	// from the live view and the membership Stragglers budget. Only then
+	// does the server accept join frames. Without it the same round loop
+	// runs on a single epoch of exactly GAR.N() workers.
 	Membership *MembershipConfig
 	// Logf, when non-nil, receives progress lines (e.g. log.Printf).
 	Logf func(format string, args ...any)
@@ -181,15 +187,19 @@ type ServerResult struct {
 	// CreditedGradients counts accepted submissions that were one round
 	// stale and credited under LateCredit (a subset of AcceptedGradients).
 	CreditedGradients int
-	// Epochs holds the per-epoch membership books (membership mode only).
-	// Over a completed run Σ (Accepted_e + Missed_e) == Σ N_e × Rounds_e
-	// exactly; membership.BalanceEpochs checks the identity.
+	// Epochs holds the per-epoch membership books. It is nil when
+	// ServerConfig.Membership is nil: a fixed cohort's single epoch is the
+	// run itself, already booked by the totals above. Over a completed run
+	// Σ (Accepted_e + Missed_e) == Σ N_e × Rounds_e exactly;
+	// membership.BalanceEpochs checks the identity.
 	Epochs []membership.EpochStat
 }
 
 // Server drives synchronous distributed SGD over a Transport.
 type Server struct {
-	cfg      ServerConfig
+	cfg ServerConfig
+	// cohort is cfg.Membership, or fixedCohort's view of a fixed GAR.
+	cohort   *MembershipConfig
 	listener Listener
 	logf     func(string, ...any)
 }
@@ -214,7 +224,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{cfg: cfg, listener: ln, logf: logf}, nil
+	cohort := cfg.Membership
+	if cohort == nil {
+		cohort = fixedCohort(&cfg)
+	}
+	return &Server{cfg: cfg, cohort: cohort, listener: ln, logf: logf}, nil
 }
 
 // Addr returns the bound listen address.
@@ -225,16 +239,22 @@ func (s *Server) Addr() string { return s.listener.Addr() }
 func (s *Server) Close() error { return s.listener.Close() }
 
 // workerConn tracks one registered worker connection. free holds the
-// pre-allocated gradient buffers the reader goroutine copies submissions
+// pre-allocated gradient buffers the serve goroutine copies submissions
 // into; the round loop hands buffers back after aggregation, so the
 // steady state allocates no gradient-sized slices.
 type workerConn struct {
 	id   int
 	c    *conn
 	free chan []float64
+	// joined records that the peer opened with a join frame: only such a
+	// peer expects a welcome at admission and redials a broken link.
+	joined bool
+	// gone is set, under the registry lock, once the current connection's
+	// serve goroutine has exited; a hello may then take the id over.
+	gone bool
 }
 
-// submission is one gradient handed from a reader goroutine to the round
+// submission is one gradient handed from a serve goroutine to the round
 // loop. grad is a buffer from src's free list and must be returned there.
 type submission struct {
 	src  *workerConn
@@ -242,98 +262,47 @@ type submission struct {
 	grad []float64
 }
 
-// Run accepts the expected number of workers, executes the configured
-// rounds and returns the final model. It always closes the listener and
-// all connections, and waits for its reader goroutines, before returning.
-// The context aborts both the accept phase and training between rounds.
+// Run gathers the workers, executes the configured rounds and returns the
+// final model. Fixed-cohort and membership servers drive this one loop: a
+// fixed cohort is the single-epoch view of fixedCohort. Run always closes
+// the listener and all connections, and waits for its connection
+// goroutines, before returning. The context aborts both the gather phase and training
+// between rounds.
+//
+// The run is partitioned into EpochRounds-round epochs. At each boundary
+// the tracker advances the view — admitting handshaken workers (a peer
+// that opened with a join gets a welcome frame carrying the first round it
+// will serve plus the current params and velocity, so a rejoiner
+// fast-forwards its deterministic streams and resumes bit-identically with
+// the cohort), evicting crashed or silent ones — and the server
+// re-materializes the GAR and commit quorum for the new population. Within
+// an epoch the view is frozen, so every round's books have a well-defined
+// n_e and the per-epoch ledger Accepted_e + Missed_e == n_e × rounds_e
+// stays exact.
 func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
-	if s.cfg.Membership != nil {
-		return s.runMembership(ctx)
-	}
 	defer s.listener.Close()
-	n := s.cfg.GAR.N()
-
-	workers, err := s.acceptWorkers(ctx, n)
+	mc := s.cohort
+	tracker, err := membership.NewTracker(mc.trackerConfig())
 	if err != nil {
 		return nil, err
 	}
-	// Workers indexed by id; acceptWorkers guarantees ids are unique in
-	// [0, n), so this is a permutation.
-	byID := make([]*workerConn, n)
-	for _, w := range workers {
-		byID[w.id] = w
+	// The inbox holds one in-flight frame per worker plus one stale or
+	// duplicated frame, so serve goroutines rarely wait on the round loop.
+	reg := newMemberRegistry(tracker, 2*mc.MaxWorkers)
+	acceptErr := make(chan error, 1)
+	reg.wg.Add(1)
+	go func() {
+		defer reg.wg.Done()
+		acceptErr <- s.accept(reg)
+	}()
+	// stop closes the listener, the only way to unblock Accept, before it
+	// breaks the connections, so a membership worker cut off by the
+	// teardown finds nothing to redial.
+	stop := func() {
+		s.listener.Close()
+		reg.shutdown()
 	}
-
-	var discarded atomic.Int64
-
-	// Fan-in: every connection gets a reader goroutine that validates the
-	// sender and dimension, copies the decoded gradient into one of the
-	// connection's own buffers and pushes it into a shared inbox. runDone
-	// unblocks readers stuck on a full inbox during shutdown; aborting the
-	// connections unblocks readers stuck in receive.
-	inbox := make(chan submission, n)
-	runDone := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *workerConn) {
-			defer wg.Done()
-			for {
-				m, err := w.c.receive(time.Time{})
-				if err != nil {
-					return
-				}
-				if m.kind != msgGradient {
-					s.logf("worker %d sent non-gradient message", w.id)
-					return
-				}
-				g := &m.gradient
-				// A gradient claiming another worker's id is spoofed: the
-				// connection authenticates the sender.
-				if g.WorkerID != w.id || len(g.Grad) != s.cfg.Dim {
-					discarded.Add(1)
-					s.logf("discarding bad gradient from worker %d (claimed %d, dim %d)",
-						w.id, g.WorkerID, len(g.Grad))
-					continue
-				}
-				var buf []float64
-				select {
-				case buf = <-w.free:
-				default:
-					// Buffer depth exhausted: the peer is sending faster
-					// than rounds complete (duplication fault or flood).
-					discarded.Add(1)
-					continue
-				}
-				copy(buf, g.Grad)
-				select {
-				case inbox <- submission{src: w, step: g.Step, grad: buf}:
-				case <-runDone:
-					return
-				}
-			}
-		}(w)
-	}
-	// shutdown tears down readers and connections. The success path calls
-	// it before building the result so the discard counter is final; the
-	// defer covers error returns.
-	var shutdownOnce sync.Once
-	shutdown := func() {
-		shutdownOnce.Do(func() {
-			close(runDone)
-			for _, w := range workers {
-				if cerr := w.c.abort(); cerr != nil {
-					s.logf("close worker %d: %v", w.id, cerr)
-				}
-			}
-			wg.Wait()
-			// Readers are gone: decode scratch can be recycled safely.
-			for _, w := range workers {
-				_ = w.c.close()
-			}
-		})
-	}
-	defer shutdown()
+	defer stop()
 
 	w := make([]float64, s.cfg.Dim)
 	if s.cfg.InitParams != nil {
@@ -345,63 +314,150 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	}
 	history := &metrics.History{}
 	missed, accepted, credited := 0, 0, 0
-	// target is how many filled slots commit a round: the quorum under
-	// bounded staleness, all n otherwise.
-	target := n
-	if s.cfg.Quorum > 0 && s.cfg.Quorum < n {
-		target = s.cfg.Quorum
+	var epochs []membership.EpochStat
+
+	// Per-epoch state, rebuilt at each boundary.
+	var (
+		view      membership.View
+		epochGAR  gar.GAR
+		members   = make([]*workerConn, 0, mc.MaxWorkers) // slot-indexed; nil once a member's conn is replaced
+		slotOf    = make([]int, mc.MaxWorkers)            // worker id → view slot, −1 outside the view
+		target    int
+		epochStat membership.EpochStat
+	)
+	closeEpoch := func() {
+		if epochStat.Rounds > 0 {
+			epochs = append(epochs, epochStat)
+		}
 	}
-	submissions := make([][]float64, n)
+	// boundary advances the view once at least floor workers have
+	// handshaken (errShort otherwise, with nothing changed).
+	boundary := func(step, floor int) error {
+		v, admitted, evicted, err := reg.advance(floor)
+		if err != nil {
+			return fmt.Errorf("cluster: round %d boundary: %w", step, err)
+		}
+		closeEpoch()
+		for _, id := range evicted {
+			s.logf("epoch %d: evicting worker %d", v.Epoch, id)
+			reg.evict(id)
+		}
+		deadline := time.Now().Add(s.cfg.RoundTimeout)
+		for _, id := range admitted {
+			// A hello peer expects no welcome: its first frame is params.
+			// A nil conn crashed between handshake and admission.
+			wk := reg.current(id)
+			if wk == nil || !wk.joined {
+				continue
+			}
+			welcome := Welcome{Round: step, Epoch: v.Epoch, Weights: w, Velocity: velocity}
+			if err := wk.c.sendWelcome(welcome, deadline); err != nil {
+				s.logf("welcome to worker %d: %v", id, err)
+				reg.disconnect(wk)
+			}
+		}
+		epochGAR, err = mc.NewGAR(v.N(), v.F)
+		if err != nil {
+			return fmt.Errorf("cluster: epoch %d GAR (n=%d f=%d): %w", v.Epoch, v.N(), v.F, err)
+		}
+		view = v
+		members = members[:0]
+		for i := range slotOf {
+			slotOf[i] = -1
+		}
+		for i, id := range v.Members {
+			slotOf[id] = i
+			members = append(members, reg.current(id))
+		}
+		target = v.N()
+		if mc.Stragglers > 0 {
+			target = v.Quorum(mc.Stragglers)
+		}
+		epochStat = membership.EpochStat{Epoch: v.Epoch, N: v.N(), F: v.F, View: v.Members}
+		s.logf("epoch %d: n=%d f=%d quorum=%d members=%v", v.Epoch, v.N(), v.F, target, v.Members)
+		return nil
+	}
+
+	submissions := make([][]float64, 0, mc.MaxWorkers)
 	// agg is reused every round via the GAR's pooled AggregateInto path, and
-	// zeros stands in for every timed-out worker (Aggregate never mutates its
-	// inputs, so one shared zero vector is safe), so the steady-state round
-	// loop allocates no gradient-sized slices.
+	// zeros stands in for every missing submission (Aggregate never mutates
+	// its inputs, so one shared zero vector is safe), so the steady-state
+	// round loop allocates no gradient-sized slices.
 	agg := make([]float64, s.cfg.Dim)
 	zeros := make([]float64, s.cfg.Dim)
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 
-	finish := func(finalW []float64) {
+	finish := func() {
 		deadline := time.Now().Add(s.cfg.RoundTimeout)
-		for _, wk := range workers {
-			msg := Params{Step: s.cfg.Steps, Weights: finalW, Done: true}
+		for _, wk := range reg.all() {
+			msg := Params{Step: s.cfg.Steps, Weights: w, Done: true}
 			if err := wk.c.sendParams(msg, deadline); err != nil {
 				s.logf("final broadcast to worker %d: %v", wk.id, err)
 			}
 		}
 	}
-	result := func() *ServerResult {
-		return &ServerResult{
-			Params:               w,
-			History:              history,
-			MissedGradients:      missed,
-			AcceptedGradients:    accepted,
-			DiscardedSubmissions: int(discarded.Load()),
-			CreditedGradients:    credited,
-		}
+	fail := func(err error) (*ServerResult, error) {
+		finish()
+		return nil, err
 	}
 	// abort tears a cancelled run down at `completed` committed rounds:
 	// an interrupted run flushes a final snapshot of its completed prefix
 	// (best-effort — the interruption is still the error), so a graceful
 	// shutdown never loses resumable progress.
-	abort := func(completed int) error {
-		finish(w)
+	abort := func(completed int) (*ServerResult, error) {
+		finish()
 		// A failed flush wraps the flush error, not the cancellation, so
 		// callers that treat a clean interrupt as success still see a lost
 		// snapshot as the failure it is.
 		if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotFunc != nil {
 			if serr := s.cfg.SnapshotFunc(completed, w, velocity); serr != nil {
-				return fmt.Errorf("cluster: round %d: %v (final snapshot: %w)", completed, ctx.Err(), serr)
+				return nil, fmt.Errorf("cluster: round %d: %v (final snapshot: %w)", completed, ctx.Err(), serr)
 			}
 		}
-		return fmt.Errorf("cluster: round %d: %w", completed, ctx.Err())
+		return nil, fmt.Errorf("cluster: round %d: %w", completed, ctx.Err())
+	}
+
+	// Gather phase: the run starts once MaxWorkers have handshaken, or once
+	// MinWorkers have and gatherSettle passes with no further handshake, so
+	// a cohort that dials together starts together instead of racing the
+	// floor. The first boundary re-checks the floor under the registry lock.
+	for {
+		if pop := tracker.Population(); pop < mc.MaxWorkers {
+			var settled <-chan time.Time
+			if pop >= mc.MinWorkers {
+				settled = time.After(gatherSettle)
+			}
+			select {
+			case <-reg.notify:
+				continue
+			case <-settled:
+			case err := <-acceptErr:
+				if ctx.Err() != nil {
+					err = ctx.Err()
+				}
+				return nil, fmt.Errorf("cluster: gather: %w", err)
+			case <-ctx.Done():
+				return nil, fmt.Errorf("cluster: gather: %w", ctx.Err())
+			}
+		}
+		err := boundary(s.cfg.StartStep, mc.MinWorkers)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, errShort) {
+			return fail(err)
+		}
 	}
 
 	for step := s.cfg.StartStep; step < s.cfg.Steps; step++ {
-		select {
-		case <-ctx.Done():
-			return nil, abort(step)
-		default:
+		if ctx.Err() != nil {
+			return abort(step)
+		}
+		if step != s.cfg.StartStep && step%mc.EpochRounds == 0 {
+			if err := boundary(step, 0); err != nil {
+				return fail(err)
+			}
 		}
 
 		// One deadline governs the whole round: the broadcast sends and the
@@ -409,38 +465,48 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		// the collection budget instead of stretching the round to ~2×
 		// RoundTimeout.
 		deadline := time.Now().Add(s.cfg.RoundTimeout)
-		for _, wk := range workers {
+		for i, wk := range members {
+			// A member whose conn was replaced mid-epoch stays in the frozen
+			// view as a mute: the new conn is only broadcast to once the
+			// next boundary re-reads the view.
+			if wk == nil || !reg.isCurrent(wk) {
+				members[i] = nil
+				continue
+			}
 			msg := Params{Step: step, Weights: w}
 			if err := wk.c.sendParams(msg, deadline); err != nil {
 				s.logf("broadcast to worker %d: %v (treating as mute)", wk.id, err)
 			}
 		}
 
-		for i := range submissions {
-			submissions[i] = nil
-		}
+		submissions = submissions[:view.N()]
 		received := 0
 		timer.Reset(time.Until(deadline))
 	collect:
 		for received < target {
 			select {
-			case sub := <-inbox:
-				id := sub.src.id
+			case sub := <-reg.inbox:
+				i := slotOf[sub.src.id]
 				switch {
-				case sub.step == step && submissions[id] == nil:
-					submissions[id] = sub.grad
+				case i < 0 || !reg.isCurrent(sub.src):
+					// Not in this epoch's view (evicted, pending, or a
+					// stale conn the worker already replaced): discard.
+					reg.discarded.Add(1)
+					returnSubmission(sub.src, sub.grad)
+				case sub.step == step && submissions[i] == nil:
+					submissions[i] = sub.grad
 					received++
-				case s.cfg.LateCredit && sub.step == step-1 && submissions[id] == nil:
+				case s.cfg.LateCredit && sub.step == step-1 && submissions[i] == nil:
 					// Bounded staleness 1: a frame computed against the
 					// previous round's parameters still carries signal —
 					// credit it to this round.
-					submissions[id] = sub.grad
+					submissions[i] = sub.grad
 					received++
 					credited++
 				default:
-					discarded.Add(1)
-					s.logf("discarding stale/duplicate gradient (worker %d, step %d)", id, sub.step)
-					sub.src.free <- sub.grad
+					reg.discarded.Add(1)
+					s.logf("discarding stale/duplicate gradient (worker %d, step %d)", sub.src.id, sub.step)
+					returnSubmission(sub.src, sub.grad)
 				}
 			case <-timer.C:
 				break collect
@@ -451,37 +517,41 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 				timer.Stop()
 				for i := range submissions {
 					if submissions[i] != nil {
-						byID[i].free <- submissions[i]
+						returnSubmission(members[i], submissions[i])
 						submissions[i] = nil
 					}
 				}
-				return nil, abort(step)
+				return abort(step)
 			}
 		}
 		timer.Stop()
 		accepted += received
+		epochStat.Accepted += received
 
 		// Missing gradients become zero vectors (§2.1).
-		for i := range submissions {
+		for i, id := range view.Members {
 			if submissions[i] == nil {
 				submissions[i] = zeros
 				missed++
+				epochStat.Missed++
+				tracker.RecordMiss(id)
+			} else {
+				tracker.RecordAccept(id)
 			}
 		}
 
 		// Stateful kernels observe the round counter (see gar.RoundAware):
 		// a round jump after a resume re-anchors their cross-round state.
-		if ra, ok := s.cfg.GAR.(gar.RoundAware); ok {
+		if ra, ok := epochGAR.(gar.RoundAware); ok {
 			ra.BeginRound(step)
 		}
-		if err := gar.AggregateInto(s.cfg.GAR, agg, submissions); err != nil {
-			finish(w)
-			return nil, fmt.Errorf("cluster: round %d aggregate: %w", step, err)
+		if err := gar.AggregateInto(epochGAR, agg, submissions); err != nil {
+			return fail(fmt.Errorf("cluster: round %d aggregate: %w", step, err))
 		}
 		// Aggregation is done with the buffers: hand them back for reuse.
 		for i := range submissions {
-			if submissions[i] != nil && &submissions[i][0] != &zeros[0] {
-				byID[i].free <- submissions[i]
+			if &submissions[i][0] != &zeros[0] {
+				returnSubmission(members[i], submissions[i])
 			}
 			submissions[i] = nil
 		}
@@ -491,9 +561,9 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 			w[i] -= s.cfg.LearningRate * velocity[i]
 		}
 		if !vecmath.AllFinite(w) {
-			finish(w)
-			return nil, fmt.Errorf("cluster: parameters diverged at round %d", step)
+			return fail(fmt.Errorf("cluster: parameters diverged at round %d", step))
 		}
+		epochStat.Rounds++
 		rec := metrics.StepRecord{
 			Step:     step,
 			Loss:     vecmath.Norm(agg), // server-side proxy: aggregate norm
@@ -503,75 +573,133 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		history.Append(rec)
 		if s.cfg.StepHook != nil {
 			if err := s.cfg.StepHook(rec, w); err != nil {
-				finish(w)
-				return nil, fmt.Errorf("cluster: round %d hook: %w", step, err)
+				return fail(fmt.Errorf("cluster: round %d hook: %w", step, err))
 			}
 		}
 		if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotFunc != nil &&
 			((step+1)%s.cfg.SnapshotEvery == 0 || step == s.cfg.Steps-1) {
 			if err := s.cfg.SnapshotFunc(step+1, w, velocity); err != nil {
-				finish(w)
-				return nil, fmt.Errorf("cluster: round %d snapshot: %w", step, err)
+				return fail(fmt.Errorf("cluster: round %d snapshot: %w", step, err))
 			}
 		}
 	}
 
-	finish(w)
-	// Quiesce the readers before snapshotting the counters: a frame racing
+	finish()
+	// Quiesce the serve goroutines before snapshotting the counters: a frame racing
 	// the end of the last round must still be counted, keeping the
 	// accepted/discarded/missed accounting exact.
-	shutdown()
-	return result(), nil
+	stop()
+	closeEpoch()
+	res := &ServerResult{
+		Params:               w,
+		History:              history,
+		MissedGradients:      missed,
+		AcceptedGradients:    accepted,
+		DiscardedSubmissions: int(reg.discarded.Load()),
+		CreditedGradients:    credited,
+	}
+	if s.cfg.Membership != nil {
+		res.Epochs = epochs
+	}
+	return res, nil
 }
 
-// acceptWorkers waits for n distinct Hello messages.
-func (s *Server) acceptWorkers(ctx context.Context, n int) ([]*workerConn, error) {
-	workers := make([]*workerConn, 0, n)
-	seen := make(map[int]bool, n)
-	// Abort a blocking Accept on context cancellation by closing the
-	// listener; stop tears the watcher down on the normal path.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.listener.Close()
-		case <-stop:
-		}
-	}()
-	for len(workers) < n {
+// accept hands every connection to its own serve goroutine for the whole
+// run — a worker may handshake at any time and enters the view at the next
+// boundary — and returns the listener's error once the listener closes.
+func (s *Server) accept(reg *memberRegistry) error {
+	for {
 		raw, err := s.listener.Accept()
 		if err != nil {
-			for _, w := range workers {
-				if cerr := w.c.close(); cerr != nil {
-					s.logf("close during abort: %v", cerr)
-				}
-			}
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("cluster: accept: %w", ctx.Err())
-			}
-			return nil, fmt.Errorf("cluster: accept: %w", err)
+			return err
 		}
 		c := newConnMax(raw, s.cfg.MaxFrameBytes)
-		m, err := c.receive(time.Now().Add(s.cfg.RoundTimeout))
-		if err != nil || m.kind != msgHello {
-			s.logf("rejecting connection without hello: %v", err)
+		if !reg.enter(c) {
 			_ = c.close()
 			continue
 		}
-		id := m.hello.WorkerID
-		if id < 0 || id >= n || seen[id] {
-			s.logf("rejecting hello with bad id %d", id)
-			_ = c.close()
-			continue
-		}
-		seen[id] = true
-		free := make(chan []float64, submissionDepth)
-		for i := 0; i < submissionDepth; i++ {
-			free <- make([]float64, s.cfg.Dim)
-		}
-		workers = append(workers, &workerConn{id: id, c: c, free: free})
-		s.logf("worker %d joined (%d/%d)", id, len(workers), n)
+		go s.serve(reg, c)
 	}
-	return workers, nil
+}
+
+// handshake reads a connection's opening frame. Any server takes a hello;
+// a join (a membership worker announcing its stream position and asking
+// for a welcome) needs a server configured with Membership.
+func (s *Server) handshake(c *conn) (id int, joined bool, err error) {
+	m, err := c.receive(time.Now().Add(s.cfg.RoundTimeout))
+	switch {
+	case err != nil:
+		return 0, false, err
+	case m.kind == msgHello:
+		return m.hello.WorkerID, false, nil
+	case m.kind == msgJoin && s.cfg.Membership != nil:
+		return m.join.WorkerID, true, nil
+	}
+	return 0, false, fmt.Errorf("%w: opening frame type %d", ErrBadMessage, m.kind)
+}
+
+// serve handshakes one connection, registers it, and then fans its
+// gradient frames into the inbox: it validates the sender and dimension
+// and copies the decoded gradient into one of the connection's own
+// buffers. On exit it reports the disconnect and closes the conn.
+func (s *Server) serve(reg *memberRegistry, c *conn) {
+	var w *workerConn
+	defer func() { reg.leave(c, w) }()
+	id, joined, err := s.handshake(c)
+	if err == nil {
+		w, err = reg.offer(id, joined, c, s.cfg.Dim)
+	}
+	if err != nil {
+		s.logf("rejecting connection: %v", err)
+		return
+	}
+	s.logf("worker %d handshaken", id)
+	for {
+		m, err := c.receive(time.Time{})
+		if err != nil {
+			return
+		}
+		if m.kind != msgGradient {
+			s.logf("worker %d sent non-gradient message", id)
+			return
+		}
+		g := &m.gradient
+		// A gradient claiming another worker's id is spoofed: the
+		// connection authenticates the sender.
+		if g.WorkerID != id || len(g.Grad) != s.cfg.Dim {
+			reg.discarded.Add(1)
+			s.logf("discarding bad gradient from worker %d (claimed %d, dim %d)",
+				id, g.WorkerID, len(g.Grad))
+			continue
+		}
+		var buf []float64
+		select {
+		case buf = <-w.free:
+		default:
+			// Buffer depth exhausted: the peer is sending faster than
+			// rounds complete (duplication fault or flood).
+			reg.discarded.Add(1)
+			continue
+		}
+		copy(buf, g.Grad)
+		select {
+		case reg.inbox <- submission{src: w, step: g.Step, grad: buf}:
+		case <-reg.done:
+			return
+		}
+	}
+}
+
+// returnSubmission hands a borrowed gradient buffer back to its owner's
+// free list. The owner may be nil when the member's conn was replaced
+// mid-epoch after submitting; the buffer is simply dropped then (churn is
+// off the steady state, so the allocation does not matter).
+func returnSubmission(w *workerConn, buf []float64) {
+	if w == nil {
+		return
+	}
+	select {
+	case w.free <- buf:
+	default:
+	}
 }

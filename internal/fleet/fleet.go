@@ -175,8 +175,10 @@ func (s *Service) reopenRun(id spec.RunID) error {
 	if meta.Status.Terminal() {
 		// History only: the log is complete; close it so streams that catch
 		// up terminate instead of waiting for more.
+		// markFinished latches finishOnce, so the Stop/Kill sweep that
+		// marks every run finished again is a no-op for this one.
 		r.finished = make(chan struct{})
-		close(r.finished)
+		r.markFinished()
 		if err := log.Close(); err != nil {
 			return err
 		}

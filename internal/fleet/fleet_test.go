@@ -416,3 +416,45 @@ func TestFleetPriorityScheduling(t *testing.T) {
 	waitFinished(t, svc, low[0], 60*time.Second)
 	waitFinished(t, svc, blocker[0], 60*time.Second)
 }
+
+// Regression test: a run that was already terminal when the store was
+// reopened must survive the shutdown sweep. Its finished channel used to be
+// closed directly at reopen, so Stop and Kill — which mark every run
+// finished — panicked with "close of closed channel".
+func TestFleetReopenTerminalThenShutdown(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		shutdown func(*Service)
+	}{
+		{"stop", (*Service).Stop},
+		{"kill", (*Service).Kill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			svcA, err := Open(Config{Root: root, Width: 1, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := svcA.Submit(&spec.Submission{Runs: []spec.Spec{fleetSpec(5, 3)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFinished(t, svcA, ids[0], 30*time.Second)
+			svcA.Stop()
+
+			svcB, err := Open(Config{Root: root, Width: 1, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFinished(t, svcB, ids[0], time.Second)
+			tc.shutdown(svcB)
+			meta, err := svcB.Meta(ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Status != StatusDone {
+				t.Fatalf("reopened run is %q, want done", meta.Status)
+			}
+		})
+	}
+}

@@ -30,10 +30,13 @@ type ClusterBackend struct{}
 var _ Backend = (*ClusterBackend)(nil)
 
 // Name implements Backend.
-func (b *ClusterBackend) Name() string { return "cluster" }
+func (b *ClusterBackend) Name() string { return clusterBackendName }
+
+// clusterBackendName names the networked backend in results and checkpoints.
+const clusterBackendName = "cluster"
 
 // serverConfig translates the Spec's server half.
-func serverConfig(s *Spec, o *runOptions, dim int, initParams []float64) cluster.ServerConfig {
+func serverConfig(s *Spec, o *runOptions, m *materialized) cluster.ServerConfig {
 	addr := o.addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -42,12 +45,12 @@ func serverConfig(s *Spec, o *runOptions, dim int, initParams []float64) cluster
 		Addr:          addr,
 		Transport:     o.transport,
 		MaxFrameBytes: o.maxFrameBytes,
-		GAR:           nil, // filled by the caller from the materialized spec
-		Dim:           dim,
+		GAR:           m.gar,
+		Dim:           m.model.Dim(),
 		Steps:         s.Steps,
 		LearningRate:  s.LearningRate,
 		Momentum:      s.Momentum,
-		InitParams:    initParams,
+		InitParams:    m.initParams,
 		RoundTimeout:  o.roundTimeout,
 		Logf:          o.logf,
 		StepHook:      o.stepHook(),
@@ -60,6 +63,7 @@ func serverConfig(s *Spec, o *runOptions, dim int, initParams []float64) cluster
 		// Membership mode re-derives the quorum and the GAR per epoch, so
 		// the fixed-cohort knobs stay unset; the staleness budget moves into
 		// the per-epoch derivation and the late policy keeps its meaning.
+		cfg.GAR = nil
 		cfg.Quorum = 0
 		mc := &cluster.MembershipConfig{
 			MinWorkers:  m.MinWorkers,
@@ -150,15 +154,50 @@ func attachCheckpointing(s *Spec, o *runOptions, cfg *cluster.ServerConfig, back
 	return st, nil
 }
 
-// completedResult packages a resume-of-finished-run no-op: the snapshot's
-// parameters come back unchanged with an empty history, mirroring the local
-// backend's idempotent resume.
-func completedResult(backend string, st *checkpoint.RunState) *Result {
+// bindServer materializes s and binds its parameter server with
+// checkpointing attached — the front half ClusterBackend.Run and ServeSpec
+// share. Resuming a run whose snapshot already covers every step binds
+// nothing: done then holds the idempotent no-op result.
+func bindServer(s *Spec, o *runOptions) (srv *cluster.Server, m *materialized, done *Result, err error) {
+	if m, err = s.materialize(o); err != nil {
+		return nil, nil, nil, err
+	}
+	srvCfg := serverConfig(s, o, m)
+	st, err := attachCheckpointing(s, o, &srvCfg, clusterBackendName)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if st != nil && st.Step >= s.Steps {
+		// The snapshot's parameters come back unchanged with an empty
+		// history, mirroring the local backend's idempotent resume.
+		return nil, nil, &Result{
+			Backend: clusterBackendName,
+			Params:  append([]float64(nil), st.Params...),
+			History: &metrics.History{},
+			Cluster: &ClusterStats{},
+		}, nil
+	}
+	if srv, err = cluster.NewServer(srvCfg); err != nil {
+		return nil, nil, nil, err
+	}
+	return srv, m, nil, nil
+}
+
+// clusterResult packages a finished server run. rounds holds each worker's
+// submission count, or nil when the workers ran in other processes.
+func clusterResult(res *cluster.ServerResult, rounds []int) *Result {
 	return &Result{
-		Backend: backend,
-		Params:  append([]float64(nil), st.Params...),
-		History: &metrics.History{},
-		Cluster: &ClusterStats{},
+		Backend: clusterBackendName,
+		Params:  res.Params,
+		History: res.History,
+		Cluster: &ClusterStats{
+			Accepted:     res.AcceptedGradients,
+			Discarded:    res.DiscardedSubmissions,
+			Missed:       res.MissedGradients,
+			Credited:     res.CreditedGradients,
+			WorkerRounds: rounds,
+			Epochs:       res.Epochs,
+		},
 	}
 }
 
@@ -169,31 +208,15 @@ func completedResult(backend string, st *checkpoint.RunState) *Result {
 // run failures — the trained model is the server's.
 func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	o := applyOptions(opts)
-	m, err := s.materialize(o)
-	if err != nil {
-		return nil, err
-	}
 	if o.transport == nil {
 		o.transport = cluster.NewChanTransport()
 		if o.addr == "" {
 			o.addr = "cluster"
 		}
 	}
-
-	srvCfg := serverConfig(&s, o, m.model.Dim(), m.initParams)
-	if s.Membership == nil {
-		srvCfg.GAR = m.gar
-	}
-	st, err := attachCheckpointing(&s, o, &srvCfg, b.Name())
-	if err != nil {
-		return nil, err
-	}
-	if st != nil && st.Step >= s.Steps {
-		return completedResult(b.Name(), st), nil
-	}
-	srv, err := cluster.NewServer(srvCfg)
-	if err != nil {
-		return nil, err
+	srv, m, done, err := bindServer(&s, o)
+	if srv == nil {
+		return done, err
 	}
 
 	// Build every worker config before any worker dials: a config error
@@ -240,19 +263,7 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 			}
 		}
 	}
-	return &Result{
-		Backend: b.Name(),
-		Params:  res.Params,
-		History: res.History,
-		Cluster: &ClusterStats{
-			Accepted:     res.AcceptedGradients,
-			Discarded:    res.DiscardedSubmissions,
-			Missed:       res.MissedGradients,
-			Credited:     res.CreditedGradients,
-			WorkerRounds: rounds,
-			Epochs:       res.Epochs,
-		},
-	}, nil
+	return clusterResult(res, rounds), nil
 }
 
 // ServeSpec runs only the parameter-server half of a Spec — the entry point
@@ -261,24 +272,9 @@ func (b *ClusterBackend) Run(ctx context.Context, s Spec, opts ...Option) (*Resu
 // checkpointing) comes from the options; the scenario comes from the Spec.
 func ServeSpec(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	o := applyOptions(opts)
-	m, err := s.materialize(o)
-	if err != nil {
-		return nil, err
-	}
-	srvCfg := serverConfig(&s, o, m.model.Dim(), m.initParams)
-	if s.Membership == nil {
-		srvCfg.GAR = m.gar
-	}
-	st, err := attachCheckpointing(&s, o, &srvCfg, "cluster")
-	if err != nil {
-		return nil, err
-	}
-	if st != nil && st.Step >= s.Steps {
-		return completedResult("cluster", st), nil
-	}
-	srv, err := cluster.NewServer(srvCfg)
-	if err != nil {
-		return nil, err
+	srv, _, done, err := bindServer(&s, o)
+	if srv == nil {
+		return done, err
 	}
 	if o.logf != nil {
 		o.logf("listening on %s, waiting for %d workers", srv.Addr(), s.GAR.N)
@@ -287,18 +283,7 @@ func ServeSpec(ctx context.Context, s Spec, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Backend: "cluster",
-		Params:  res.Params,
-		History: res.History,
-		Cluster: &ClusterStats{
-			Accepted:  res.AcceptedGradients,
-			Discarded: res.DiscardedSubmissions,
-			Missed:    res.MissedGradients,
-			Credited:  res.CreditedGradients,
-			Epochs:    res.Epochs,
-		},
-	}, nil
+	return clusterResult(res, nil), nil
 }
 
 // JoinSpec runs only worker workerID's half of a Spec — the entry point for
