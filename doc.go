@@ -162,10 +162,7 @@
 //     aggregation rule for (n_e, f_e) — the GAR's breakdown point tracks
 //     the live population instead of a stale initial cohort. A boundary
 //     that would leave fewer than MinWorkers live members aborts the run
-//     rather than silently training on a sliver. The run starts once
-//     MaxWorkers have joined, or once MinWorkers have and a short settle
-//     window passes without another join, so a cohort that dials together
-//     starts together. Every epoch keeps an
+//     rather than silently training on a sliver. Every epoch keeps an
 //     exact ledger (EpochStat): Accepted_e + Missed_e = n_e × rounds_e,
 //     per epoch and summed over the run (Result.Cluster.Epochs).
 //

@@ -162,6 +162,12 @@ func (t *ChanTransport) dial(ctx context.Context, addr string, up, down FaultCon
 	server := &chanConn{out: downPipe, in: upPipe, done: done, closeOnce: &once}
 	select {
 	case ln.accepts <- server:
+		// A Close racing this send may have drained the backlog already.
+		select {
+		case <-ln.done:
+			ln.drain()
+		default:
+		}
 		return client, nil
 	case <-ln.done:
 		return nil, fmt.Errorf("cluster: dial chan %q: %w", addr, net.ErrClosed)
@@ -189,14 +195,31 @@ func (l *chanListener) Accept() (Conn, error) {
 
 func (l *chanListener) Addr() string { return l.addr }
 
+// Close unbinds the endpoint and closes every conn still queued in its
+// backlog, so a dialer whose conn was never accepted sees EOF instead of
+// waiting on a peer that will never read.
 func (l *chanListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		l.t.mu.Lock()
 		delete(l.t.listeners, l.addr)
 		l.t.mu.Unlock()
+		l.drain()
 	})
 	return nil
+}
+
+// drain closes the conns queued in the backlog. It runs after done is
+// closed; a dial whose send lands after Close's drain runs it again.
+func (l *chanListener) drain() {
+	for {
+		select {
+		case c := <-l.accepts:
+			_ = c.Close()
+		default:
+			return
+		}
+	}
 }
 
 // chanPipe carries whole frames in one direction. The writer endpoint

@@ -584,3 +584,65 @@ func TestServerFixedCohortAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestServerHandshakeBacklog floods a fixed cohort's listener with silent
+// connectors. The accept loop reads one opening frame at a time, so all
+// but one of them stay queued in the in-process backlog instead of each
+// holding a goroutine and a socket; when the run is cancelled, closing the
+// listener must close those queued conns too, so their dialers see the
+// link end instead of waiting on a peer that never reads.
+func TestServerHandshakeBacklog(t *testing.T) {
+	const (
+		n      = 2
+		silent = 6
+	)
+	tr := NewChanTransport()
+	srv, err := NewServer(ServerConfig{
+		Addr:         "backlog",
+		Transport:    tr,
+		GAR:          mustGAR(t, "average", n, 0),
+		Dim:          3,
+		Steps:        1,
+		LearningRate: 1,
+		RoundTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := srv.listener.(*chanListener)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := srv.Run(ctx)
+		runErr <- err
+	}()
+
+	conns := make([]*conn, silent)
+	for i := range conns {
+		raw, err := tr.Dial(context.Background(), "backlog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = newConn(raw)
+		defer conns[i].close()
+	}
+	waitUntil := time.Now().Add(10 * time.Second)
+	for len(ln.accepts) > silent-1 && time.Now().Before(waitUntil) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := len(ln.accepts); got != silent-1 {
+		t.Fatalf("%d connections queued, want %d (one handshake at a time)", got, silent-1)
+	}
+
+	cancel()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error %v, want context.Canceled", err)
+	}
+	for i, c := range conns {
+		if _, err := c.receive(time.Now().Add(5 * time.Second)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("silent connector %d: receive error %v, want the link closed", i, err)
+		}
+	}
+}

@@ -17,9 +17,8 @@ import (
 // rejoin with a fast-forward welcome. A server configured without one runs
 // the same loop on fixedCohort's single-epoch view.
 type MembershipConfig struct {
-	// MinWorkers is the population floor: the run starts once MaxWorkers
-	// have joined, or once this many have and gatherSettle passes without
-	// another join; it aborts if a boundary would leave fewer.
+	// MinWorkers is the population floor: the run starts once this many
+	// workers have joined and aborts if a boundary would leave fewer.
 	MinWorkers int
 	// MaxWorkers caps the population and the worker-id range [0, MaxWorkers).
 	MaxWorkers int
@@ -96,8 +95,8 @@ type memberRegistry struct {
 	mu      sync.Mutex
 	tracker *membership.Tracker
 	cur     map[int]*workerConn
-	// conns holds every connection with a serve goroutine, handshaking or
-	// registered, so shutdown can abort them all.
+	// conns holds every connection being handshaken or served, so shutdown
+	// can abort them all.
 	conns map[*conn]struct{}
 	// closed refuses new connections once shutdown has begun, so every
 	// wg.Add happens before shutdown's wg.Wait.
@@ -123,8 +122,8 @@ func newMemberRegistry(tr *membership.Tracker, inboxDepth int) *memberRegistry {
 	}
 }
 
-// enter tracks a freshly accepted connection and counts its serve
-// goroutine in wg; it refuses the connection once shutdown has begun.
+// enter tracks a freshly accepted connection and counts it in wg until
+// leave; it refuses the connection once shutdown has begun.
 func (r *memberRegistry) enter(c *conn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,8 +135,8 @@ func (r *memberRegistry) enter(c *conn) bool {
 	return true
 }
 
-// leave ends c's serve goroutine: it reports the disconnect of w (nil
-// when the handshake failed) and closes the conn.
+// leave stops tracking c: it reports the disconnect of w (nil when the
+// handshake failed) and closes the conn.
 func (r *memberRegistry) leave(c *conn, w *workerConn) {
 	r.mu.Lock()
 	delete(r.conns, c)

@@ -311,6 +311,83 @@ func TestMembershipHelloWorkersFullBooks(t *testing.T) {
 	}
 }
 
+// TestMembershipRedialingPeerCannotHoldStart runs a membership server
+// whose floor is below its cap next to a peer that redials a join for the
+// same id every few milliseconds. Each redial replaces the previous
+// connection and wakes the gather phase without growing the population
+// past the cap, so the start rule must not wait for handshakes to settle:
+// the run starts once the floor is in and finishes with balanced books.
+func TestMembershipRedialingPeerCannotHoldStart(t *testing.T) {
+	const (
+		n           = 2
+		steps       = 6
+		epochRounds = 3
+	)
+	tr := NewChanTransport()
+	ds := testDataset(t)
+	m := testModel(t)
+	srvCfg := ServerConfig{
+		Addr:         "redialing",
+		Transport:    tr,
+		Membership:   testMembership(n, n+2, 0, epochRounds),
+		Dim:          m.Dim(),
+		Steps:        steps,
+		LearningRate: 2,
+		RoundTimeout: 200 * time.Millisecond,
+	}
+	stop := make(chan struct{})
+	var rogue sync.WaitGroup
+	rogue.Add(1)
+	go func() {
+		defer rogue.Done()
+		for {
+			if raw, err := tr.Dial(context.Background(), "redialing"); err == nil {
+				c := newConn(raw)
+				_ = c.sendJoin(Join{WorkerID: n, LastRound: -1}, time.Now().Add(time.Second))
+				time.Sleep(5 * time.Millisecond)
+				_ = c.close()
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}()
+	defer rogue.Wait()
+	defer close(stop)
+
+	workers := make([]WorkerConfig, n)
+	for i := range workers {
+		workers[i] = WorkerConfig{
+			Transport: tr, WorkerID: i, Model: m, Train: ds, BatchSize: 20, Seed: uint64(i + 1),
+		}
+	}
+	srvRes, workerRes, workerErrs := launch(t, srvCfg, workers)
+	for i, err := range workerErrs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if err := membership.BalanceEpochs(srvRes.Epochs); err != nil {
+		t.Errorf("epoch books: %v", err)
+	}
+	rounds := 0
+	for _, e := range srvRes.Epochs {
+		rounds += e.Rounds
+	}
+	if rounds != steps {
+		t.Errorf("epochs cover %d rounds, want %d", rounds, steps)
+	}
+	// The rogue may fill the floor before one of the workers handshakes;
+	// that worker then enters at the next boundary.
+	for i, wr := range workerRes {
+		if wr == nil || wr.Rounds < epochRounds {
+			t.Errorf("worker %d result %+v, want at least %d rounds", i, wr, epochRounds)
+		}
+	}
+}
+
 // TestMembershipLateJoin starts a two-worker run, then injects a third
 // worker mid-run: it must be admitted at an epoch boundary, fast-forward
 // its streams to the cohort's position, and the per-epoch books must keep

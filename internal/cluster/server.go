@@ -17,13 +17,6 @@ import (
 // round before substituting zero vectors for the missing workers.
 const DefaultRoundTimeout = 10 * time.Second
 
-// gatherSettle is how long a membership server whose population is between
-// MinWorkers and MaxWorkers waits for a further handshake before it starts
-// the run. Handshakes of a cohort that dials together land microseconds
-// apart; the window keeps the start from cutting such a cohort at the
-// floor.
-const gatherSettle = 100 * time.Millisecond
-
 // submissionDepth is how many gradient buffers the server pre-allocates
 // per worker connection. Depth 1 covers the lock-step pipeline of an
 // honest worker; the extra slots absorb duplicated or reordered frames
@@ -418,20 +411,12 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 		return nil, fmt.Errorf("cluster: round %d: %w", completed, ctx.Err())
 	}
 
-	// Gather phase: the run starts once MaxWorkers have handshaken, or once
-	// MinWorkers have and gatherSettle passes with no further handshake, so
-	// a cohort that dials together starts together instead of racing the
-	// floor. The first boundary re-checks the floor under the registry lock.
+	// Gather phase: the run starts once MinWorkers have handshaken. The
+	// first boundary re-checks the floor under the registry lock.
 	for {
-		if pop := tracker.Population(); pop < mc.MaxWorkers {
-			var settled <-chan time.Time
-			if pop >= mc.MinWorkers {
-				settled = time.After(gatherSettle)
-			}
+		for tracker.Population() < mc.MinWorkers {
 			select {
 			case <-reg.notify:
-				continue
-			case <-settled:
 			case err := <-acceptErr:
 				if ctx.Err() != nil {
 					err = ctx.Err()
@@ -604,9 +589,12 @@ func (s *Server) Run(ctx context.Context) (*ServerResult, error) {
 	return res, nil
 }
 
-// accept hands every connection to its own serve goroutine for the whole
-// run — a worker may handshake at any time and enters the view at the next
-// boundary — and returns the listener's error once the listener closes.
+// accept handshakes each connection in turn for the whole run — a worker
+// may handshake at any time and enters the view at the next boundary —
+// hands every registered one to its own serve goroutine, and returns the
+// listener's error once the listener closes. One opening frame is read at
+// a time, bounded by RoundTimeout, so a flood of connectors holds at most
+// one socket here and waits in the listener's backlog.
 func (s *Server) accept(reg *memberRegistry) error {
 	for {
 		raw, err := s.listener.Accept()
@@ -618,7 +606,18 @@ func (s *Server) accept(reg *memberRegistry) error {
 			_ = c.close()
 			continue
 		}
-		go s.serve(reg, c)
+		id, joined, err := s.handshake(c)
+		var w *workerConn
+		if err == nil {
+			w, err = reg.offer(id, joined, c, s.cfg.Dim)
+		}
+		if err != nil {
+			s.logf("rejecting connection: %v", err)
+			reg.leave(c, nil)
+			continue
+		}
+		s.logf("worker %d handshaken", id)
+		go s.serve(reg, c, w)
 	}
 }
 
@@ -638,22 +637,13 @@ func (s *Server) handshake(c *conn) (id int, joined bool, err error) {
 	return 0, false, fmt.Errorf("%w: opening frame type %d", ErrBadMessage, m.kind)
 }
 
-// serve handshakes one connection, registers it, and then fans its
-// gradient frames into the inbox: it validates the sender and dimension
-// and copies the decoded gradient into one of the connection's own
-// buffers. On exit it reports the disconnect and closes the conn.
-func (s *Server) serve(reg *memberRegistry, c *conn) {
-	var w *workerConn
-	defer func() { reg.leave(c, w) }()
-	id, joined, err := s.handshake(c)
-	if err == nil {
-		w, err = reg.offer(id, joined, c, s.cfg.Dim)
-	}
-	if err != nil {
-		s.logf("rejecting connection: %v", err)
-		return
-	}
-	s.logf("worker %d handshaken", id)
+// serve fans a registered connection's gradient frames into the inbox: it
+// validates the sender and dimension and copies the decoded gradient into
+// one of the connection's own buffers. On exit it reports the disconnect
+// and closes the conn.
+func (s *Server) serve(reg *memberRegistry, c *conn, w *workerConn) {
+	defer reg.leave(c, w)
+	id := w.id
 	for {
 		m, err := c.receive(time.Time{})
 		if err != nil {
